@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"gpuperf/internal/driver"
+	"gpuperf/internal/validity"
 	"gpuperf/internal/workloads"
 )
 
@@ -34,7 +35,7 @@ func (c *cancelAfter) Err() error {
 // the journal stays empty and the cause is wrapped.
 func TestSweepPreCancelled(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, err := OpenJournal(path, 42, "")
+	j, err := OpenJournalCohort(path, JournalConfig{Cohort: validity.Cohort{Seed: 42}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestSweepCancelMultiBoardResumes(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, err := OpenJournal(path, 42, "")
+	j, err := OpenJournalCohort(path, JournalConfig{Cohort: validity.Cohort{Seed: 42}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestSweepCancelMultiBoardResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, err := OpenJournal(path, 42, "")
+	j2, err := OpenJournalCohort(path, JournalConfig{Cohort: validity.Cohort{Seed: 42}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"sort"
 	"strconv"
@@ -122,17 +124,14 @@ func cellKey(board, bench string, rep int, p clock.Pair) string {
 	return key
 }
 
-// OpenJournal opens a checkpoint journal bound to a bare (seed, profile)
-// cohort — no board set, no code version.
-//
-// Deprecated: use OpenJournalCohort, which binds the full campaign
-// cohort; OpenJournal remains for callers that predate cohorts.
-func OpenJournal(path string, seed int64, profile string) (*Journal, error) {
-	return OpenJournalCohort(path, JournalConfig{Cohort: validity.Cohort{Seed: seed, Profile: profile}})
+// NewJournal returns an empty journal that is not yet open for writing;
+// Create persists it.
+func NewJournal() *Journal {
+	return &Journal{cells: make(map[string]PairResult)}
 }
 
 // OpenJournalCohort opens (or creates) a checkpoint journal at path,
-// bound to the campaign cohort in cfg.
+// bound to the campaign cohort in cfg: DecodeJournal followed by Create.
 //
 //   - A current-format journal with the same cohort is loaded for replay.
 //   - A current-format journal with a different cohort is a hard error
@@ -146,27 +145,73 @@ func OpenJournal(path string, seed int64, profile string) (*Journal, error) {
 // The file is rewritten on open so a line half-written by a crash cannot
 // poison later parses.
 func OpenJournalCohort(path string, cfg JournalConfig) (*Journal, error) {
-	j := &Journal{cells: make(map[string]PairResult)}
-	if data, err := os.ReadFile(path); err == nil {
-		keep, lerr := j.load(path, data, cfg)
-		if lerr != nil {
-			return nil, lerr
+	j, err := DecodeJournal(path, cfg)
+	switch {
+	case err == nil:
+	case errors.Is(err, fs.ErrNotExist):
+		j = NewJournal()
+	case errors.Is(err, ErrForeignJournal):
+		// Stale or foreign journal: preserve the evidence, start fresh.
+		if err := os.Rename(path, path+".stale"); err != nil {
+			return nil, fmt.Errorf("characterize: checkpoint: backing up stale journal: %w", err)
 		}
-		if !keep {
-			// Stale or foreign journal: preserve the evidence, start fresh.
-			if err := os.Rename(path, path+".stale"); err != nil {
-				return nil, fmt.Errorf("characterize: checkpoint: backing up stale journal: %w", err)
-			}
-			cfg.warn("stale journal backed up to %s.stale", path)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("characterize: checkpoint: %w", err)
+		cfg.warn("stale journal backed up to %s.stale", path)
+		j = NewJournal()
+	default:
+		return nil, err
 	}
-	f, err := os.Create(path)
+	if err := j.Create(path, cfg); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// DecodeJournal reads the journal at path into a Journal that is not yet
+// open for writing — the first half of OpenJournalCohort, for callers
+// that combine several decoded journals before writing them (the fleet
+// shard merge). Corrupt interior lines are skipped with a warning and v1
+// journals are migrated, exactly as on open. A missing file returns an
+// error wrapping fs.ErrNotExist, a v2 journal bound to another cohort
+// returns *CohortMismatchError, and an unattributable file returns
+// ErrForeignJournal. The file is streamed, so transient memory is one
+// line, however long that line is.
+func DecodeJournal(path string, cfg JournalConfig) (*Journal, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("characterize: checkpoint: %w", err)
 	}
+	defer f.Close()
+	j := NewJournal()
+	keep, err := j.load(path, bufio.NewReaderSize(f, 64<<10), cfg)
+	if err != nil {
+		return nil, err
+	}
+	if !keep {
+		return nil, fmt.Errorf("%w: %s", ErrForeignJournal, path)
+	}
+	return j, nil
+}
+
+// Create writes the journal to path — the header for cfg's cohort, then
+// every held cell in stable order — replacing any file there, and keeps
+// the file open so Record appends to it. The second half of
+// OpenJournalCohort.
+func (j *Journal) Create(path string, cfg JournalConfig) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("characterize: checkpoint: %w", err)
+	}
+	if err := j.write(f, cfg); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("characterize: checkpoint: %w", err)
+	}
 	j.f = f
+	return nil
+}
+
+func (j *Journal) write(f *os.File, cfg JournalConfig) error {
 	w := bufio.NewWriter(f)
 	enc := json.NewEncoder(w)
 	c := cfg.Cohort
@@ -176,42 +221,59 @@ func OpenJournalCohort(path string, cfg JournalConfig) (*Journal, error) {
 		Boards: c.Boards, CodeVersion: c.CodeVersion, Cohort: c.Hash(),
 	}
 	if err := enc.Encode(header); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("characterize: checkpoint: %w", err)
+		return err
 	}
 	for _, line := range j.lines() {
 		if err := enc.Encode(line); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("characterize: checkpoint: %w", err)
+			return err
 		}
 	}
 	if err := w.Flush(); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("characterize: checkpoint: %w", err)
+		return err
 	}
 	if cfg.FsyncHeader {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("characterize: checkpoint: %w", err)
-		}
+		return f.Sync()
 	}
-	return j, nil
+	return nil
+}
+
+// readLine returns r's next line without its newline, growing scratch
+// for a line longer than r's buffer. The line is valid until the next
+// call; err is io.EOF after the last line.
+func readLine(r *bufio.Reader, scratch *[]byte) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		*scratch = append((*scratch)[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = r.ReadSlice('\n')
+			*scratch = append(*scratch, line...)
+		}
+		line = *scratch
+	}
+	return bytes.TrimSuffix(line, []byte("\n")), err
 }
 
 // load parses a prior journal. It returns keep=false when the file is a
 // stale or foreign journal the caller should back up, and a non-nil error
-// only for the hard cohort-mismatch case. Undecodable interior lines —
-// a truncated trailing line from a crash, or arbitrary corruption from a
-// torn write — are skipped with a warning, never fatal.
-func (j *Journal) load(path string, data []byte, cfg JournalConfig) (keep bool, err error) {
-	// Split manually rather than with bufio.Scanner: a corrupt line of
-	// arbitrary length (a torn write can splice lines together) must cost
-	// only itself, never abort the scan on a token-size limit.
+// for the hard cohort-mismatch case or a failed read. Undecodable
+// interior lines — a truncated trailing line from a crash, or arbitrary
+// corruption from a torn write — are skipped with a warning, never fatal.
+func (j *Journal) load(path string, r *bufio.Reader, cfg JournalConfig) (keep bool, err error) {
+	// Lines are read whole rather than with bufio.Scanner: a corrupt line
+	// of arbitrary length (a torn write can splice lines together) must
+	// cost only itself, never abort the scan on a token-size limit.
 	first := true
 	migrate := false
-	for i, line := range bytes.Split(data, []byte("\n")) {
-		lineNo := i + 1
+	var scratch []byte
+	for lineNo := 1; ; lineNo++ {
+		line, rerr := readLine(r, &scratch)
+		if rerr != nil && rerr != io.EOF {
+			return false, fmt.Errorf("characterize: checkpoint: %w", rerr)
+		}
 		if len(line) == 0 {
+			if rerr == io.EOF {
+				return true, nil
+			}
 			continue
 		}
 		if first {
@@ -238,34 +300,42 @@ func (j *Journal) load(path string, data []byte, cfg JournalConfig) (keep bool, 
 				cfg.warn("journal %s has unknown version %d", path, h.Version)
 				return false, nil
 			}
-			continue
+		} else {
+			j.loadCell(path, lineNo, line, migrate, cfg)
 		}
-		var c journalCell
-		if json.Unmarshal(line, &c) != nil || c.Kind != "cell" {
-			cfg.warn("journal %s: skipping corrupt line %d", path, lineNo)
-			continue
+		if rerr == io.EOF {
+			return true, nil
 		}
-		if _, perr := clock.ParsePair(c.Pair); perr != nil {
-			cfg.warn("journal %s: skipping corrupt line %d (bad pair %q)", path, lineNo, c.Pair)
-			continue
-		}
-		if c.Result.Pair.String() != c.Pair {
-			// Pair key disagrees with the payload: corrupt line.
-			cfg.warn("journal %s: skipping corrupt line %d (pair key mismatch)", path, lineNo)
-			continue
-		}
-		if c.Rep < 0 {
-			cfg.warn("journal %s: skipping corrupt line %d (negative rep)", path, lineNo)
-			continue
-		}
-		if migrate || !validity.KnownClass(c.Result.Verdict.Class) {
-			// v1 cells predate run verdicts; re-verdict from the recorded
-			// fault bookkeeping, which classification is a pure function of.
-			c.Result.Verdict = c.Result.Classify()
-		}
-		j.cells[cellKey(c.Board, c.Bench, c.Rep, c.Result.Pair)] = c.Result
 	}
-	return true, nil
+}
+
+// loadCell decodes one cell line into the journal, last line winning;
+// a corrupt line is skipped with a warning.
+func (j *Journal) loadCell(path string, lineNo int, line []byte, migrate bool, cfg JournalConfig) {
+	var c journalCell
+	if json.Unmarshal(line, &c) != nil || c.Kind != "cell" {
+		cfg.warn("journal %s: skipping corrupt line %d", path, lineNo)
+		return
+	}
+	if _, perr := clock.ParsePair(c.Pair); perr != nil {
+		cfg.warn("journal %s: skipping corrupt line %d (bad pair %q)", path, lineNo, c.Pair)
+		return
+	}
+	if c.Result.Pair.String() != c.Pair {
+		// Pair key disagrees with the payload: corrupt line.
+		cfg.warn("journal %s: skipping corrupt line %d (pair key mismatch)", path, lineNo)
+		return
+	}
+	if c.Rep < 0 {
+		cfg.warn("journal %s: skipping corrupt line %d (negative rep)", path, lineNo)
+		return
+	}
+	if migrate || !validity.KnownClass(c.Result.Verdict.Class) {
+		// v1 cells predate run verdicts; re-verdict from the recorded
+		// fault bookkeeping, which classification is a pure function of.
+		c.Result.Verdict = c.Result.Classify()
+	}
+	j.cells[cellKey(c.Board, c.Bench, c.Rep, c.Result.Pair)] = c.Result
 }
 
 // lines returns the retained cells as journal lines in a stable order.
@@ -351,6 +421,28 @@ func (j *Journal) Len() int {
 	return len(j.cells)
 }
 
+// Distribute offers each of j's cells to the journal owner returns for
+// the cell's board. The owner adopts a cell it does not hold yet; a nil
+// owner, or j itself, leaves the cell where it is. Cells are never
+// removed from j. Meant for decoded journals not yet in use: owners must
+// not be distributing into j at the same time.
+func (j *Journal) Distribute(owner func(board string) *Journal) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for k, r := range j.cells {
+		// The key starts with the board; boards never contain '|'.
+		dst := owner(k[:strings.IndexByte(k, '|')])
+		if dst == nil || dst == j {
+			continue
+		}
+		dst.mu.Lock()
+		if _, held := dst.cells[k]; !held {
+			dst.cells[k] = r
+		}
+		dst.mu.Unlock()
+	}
+}
+
 // ErrForeignJournal marks a journal file that cannot be attributed to
 // the asking cohort at all — no parseable header, an unknown format
 // version, or a legacy header recorded under different (seed, profile).
@@ -369,24 +461,14 @@ type CellRecord struct {
 }
 
 // ReadJournalCells decodes a journal's salvageable cells without opening
-// it for writing, using the same torn-line-safe codec as
-// OpenJournalCohort: corrupt interior lines cost only themselves. Cells
-// return in the journal's stable (board, bench, rep, pair) order. A v2
-// journal bound to a different cohort returns *CohortMismatchError; an
-// unattributable file returns ErrForeignJournal. The fleet orchestrator
-// reads per-shard journals through this to merge checkpoints on resume.
+// it for writing (DecodeJournal): corrupt interior lines cost only
+// themselves. Cells return in the journal's stable (board, bench, rep,
+// pair) order. A v2 journal bound to a different cohort returns
+// *CohortMismatchError; an unattributable file returns ErrForeignJournal.
 func ReadJournalCells(path string, cfg JournalConfig) ([]CellRecord, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("characterize: checkpoint: %w", err)
-	}
-	j := &Journal{cells: make(map[string]PairResult)}
-	keep, err := j.load(path, data, cfg)
+	j, err := DecodeJournal(path, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if !keep {
-		return nil, fmt.Errorf("%w: %s", ErrForeignJournal, path)
 	}
 	lines := j.lines()
 	out := make([]CellRecord, len(lines))

@@ -3,6 +3,7 @@ package characterize
 import (
 	"strconv"
 
+	"gpuperf/internal/clock"
 	"gpuperf/internal/obs"
 )
 
@@ -31,6 +32,15 @@ func newSweepObs(rec *obs.Recorder, board string) *sweepObs {
 		journalHits: reg.Counter("characterize_journal_hits_total", "cells replayed from the checkpoint journal", bl),
 		simUS:       reg.Counter("characterize_sim_microseconds_total", "virtual sweep time accumulated", bl),
 	}
+}
+
+// replayed records one cell answered from the checkpoint journal.
+func (so *sweepObs) replayed(track *obs.Track, p clock.Pair) {
+	if so == nil {
+		return
+	}
+	so.journalHits.Inc()
+	track.Instant("journal replay", obs.Arg{Key: "pair", Value: p.String()})
 }
 
 // observePool records the sweep pool width gauge.

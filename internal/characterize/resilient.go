@@ -104,6 +104,22 @@ func (o *SweepOptions) specOf(boardName string) *arch.Spec {
 	return arch.BoardByName(boardName)
 }
 
+// journalTodo lists the pairs the journal does not hold for the job —
+// every pair when the sweep runs without a journal. Contains does not
+// count replay hits, so asking is free of accounting side effects.
+func (o *SweepOptions) journalTodo(board, bench string, pairs []clock.Pair) []clock.Pair {
+	if o.Journal == nil {
+		return pairs
+	}
+	todo := make([]clock.Pair, 0, len(pairs))
+	for _, p := range pairs {
+		if !o.Journal.Contains(board, bench, o.Rep, p) {
+			todo = append(todo, p)
+		}
+	}
+	return todo
+}
+
 // emitCell fans one resolved cell out to both progress hooks — the
 // single emission point every resolution path (measure, journal replay,
 // boot quarantine) goes through.
@@ -247,12 +263,36 @@ func sweepBenchR(ctx context.Context, boardName string, b *workloads.Benchmark, 
 	track := opts.Obs.Track(opts.trackName(boardName, b.Name))
 	span := track.Begin("sweep "+b.Name, obs.Arg{Key: "board", Value: boardName})
 	defer span.End()
+	out := &BenchResult{Benchmark: b.Name, Board: boardName}
+
+	// The journal's todo list comes first, from the spec's pair grid (the
+	// same grid the booted device would expose): a job whose every cell
+	// is journaled replays without opening, seeding or parking a device.
+	var todo []clock.Pair
+	if spec := opts.specOf(boardName); opts.Journal != nil && spec != nil {
+		pairs := clock.ValidPairs(spec)
+		todo = opts.journalTodo(boardName, b.Name, pairs)
+		if len(todo) == 0 {
+			for _, p := range pairs {
+				// Journals never drop a cell, so every lookup hits.
+				cell, _ := opts.Journal.Lookup(boardName, b.Name, opts.Rep, p)
+				out.Pairs = append(out.Pairs, cell)
+				so.replayed(track, p)
+				opts.emitCell(boardName, b.Name, cell, true)
+			}
+			if so != nil {
+				so.simUS.Add(track.Now())
+			}
+			return out, nil
+		}
+	}
+
 	dev, failPt, err := bootR(ctx, boardName, scope, opts.boot(), res, track)
 	if err != nil {
 		return nil, err
 	}
 	if dev == nil {
-		out := quarantineAll(boardName, b.Name, opts.specOf(boardName), failPt, res.Attempts()-1)
+		out = quarantineAll(boardName, b.Name, opts.specOf(boardName), failPt, res.Attempts()-1)
 		if so != nil {
 			so.quarantined.With(string(failPt)).Add(int64(len(out.Pairs)))
 			track.Instant("quarantined (boot failed)", obs.Arg{Key: "point", Value: string(failPt)})
@@ -268,7 +308,6 @@ func sweepBenchR(ctx context.Context, boardName string, b *workloads.Benchmark, 
 	dev.SetPowerFanout(opts.Fanout)
 	dev.Seed(sweepSeed(opts.Seed, b.Name))
 
-	out := &BenchResult{Benchmark: b.Name, Board: boardName}
 	kernels := b.Kernels(1)
 	hostGap := b.HostGap(1)
 	pairs := clock.ValidPairs(dev.Spec())
@@ -280,14 +319,8 @@ func sweepBenchR(ctx context.Context, boardName string, b *workloads.Benchmark, 
 	// The precomputed entries are bit-identical to per-launch simulation
 	// (pinned by property tests), so results, golden artifacts and the
 	// device's noise stream are unchanged.
-	todo := pairs
-	if opts.Journal != nil {
-		todo = make([]clock.Pair, 0, len(pairs))
-		for _, p := range pairs {
-			if !opts.Journal.Contains(boardName, b.Name, opts.Rep, p) {
-				todo = append(todo, p)
-			}
-		}
+	if todo == nil {
+		todo = opts.journalTodo(boardName, b.Name, pairs)
 	}
 	if _, err := dev.PrecomputePairs(kernels, todo); err != nil {
 		return nil, err
@@ -297,10 +330,7 @@ func sweepBenchR(ctx context.Context, boardName string, b *workloads.Benchmark, 
 		if opts.Journal != nil {
 			if cell, ok := opts.Journal.Lookup(boardName, b.Name, opts.Rep, p); ok {
 				out.Pairs = append(out.Pairs, cell)
-				if so != nil {
-					so.journalHits.Inc()
-					track.Instant("journal replay", obs.Arg{Key: "pair", Value: p.String()})
-				}
+				so.replayed(track, p)
 				opts.emitCell(boardName, b.Name, cell, true)
 				continue
 			}

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"gpuperf/internal/clock"
+	"gpuperf/internal/driver"
 	"gpuperf/internal/fault"
+	"gpuperf/internal/validity"
 	"gpuperf/internal/workloads"
 )
 
@@ -173,7 +175,7 @@ func TestJournalCheckpointAndResume(t *testing.T) {
 	path := filepath.Join(dir, "sweep.journal")
 
 	run := func() ([]*BenchResult, *Journal) {
-		j, err := OpenJournal(path, seed, prof)
+		j, err := OpenJournalCohort(path, JournalConfig{Cohort: validity.Cohort{Seed: seed, Profile: prof}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +232,7 @@ func TestJournalCheckpointAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = OpenJournal(path, seed+1, prof)
+	_, err = OpenJournalCohort(path, JournalConfig{Cohort: validity.Cohort{Seed: seed + 1, Profile: prof}})
 	var mismatch *CohortMismatchError
 	if !errors.As(err, &mismatch) {
 		t.Fatalf("seed-mismatched open: err=%v, want *CohortMismatchError", err)
@@ -253,7 +255,7 @@ func TestJournalCheckpointAndResume(t *testing.T) {
 func TestJournalRoundTripsCells(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "j")
-	j, err := OpenJournal(path, 1, "")
+	j, err := OpenJournalCohort(path, JournalConfig{Cohort: validity.Cohort{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +281,7 @@ func TestJournalRoundTripsCells(t *testing.T) {
 	}
 	j.Close()
 
-	j2, err := OpenJournal(path, 1, "")
+	j2, err := OpenJournalCohort(path, JournalConfig{Cohort: validity.Cohort{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,5 +303,70 @@ func TestJournalRoundTripsCells(t *testing.T) {
 	}
 	if _, ok := j2.Lookup("B", "bench", 2, p); ok {
 		t.Error("journal answered a repetition it never recorded")
+	}
+}
+
+// TestJournalReplayBootsOnlyToMeasure: a job with one pair missing from
+// the journal boots its device exactly once and measures only that
+// pair; once the journal holds every cell, the job boots nothing. Both
+// runs return the uninterrupted sweep's measurements.
+func TestJournalReplayBootsOnlyToMeasure(t *testing.T) {
+	const board = "GTX 480"
+	benches := benchSubset(t)[:1]
+	want, err := SweepBoardR(board, benches, SweepOptions{Seed: 7, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := want[0].Pairs
+	missing := pairs[len(pairs)-1].Pair
+
+	path := filepath.Join(t.TempDir(), "j")
+	cfg := JournalConfig{Cohort: validity.Cohort{Seed: 7}}
+	j, err := OpenJournalCohort(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range pairs[:len(pairs)-1] {
+		if err := j.Record(board, benches[0].Name, 0, pr); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var boots int
+	var measured []clock.Pair
+	opts := SweepOptions{Seed: 7, Workers: 1, Journal: j,
+		Boot: func(name string, in *fault.Injector) (*driver.Device, error) {
+			boots++
+			return driver.OpenBoardWithFaults(name, in)
+		},
+		OnCell: func(_, _ string, pr PairResult, replayed bool) {
+			if !replayed {
+				measured = append(measured, pr.Pair)
+			}
+		},
+	}
+	got, err := SweepBoardR(board, benches, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if boots != 1 || len(measured) != 1 || measured[0] != missing {
+		t.Errorf("one missing cell: %d boots, measured %v; want 1 boot measuring %v", boots, measured, missing)
+	}
+	sameMeasurements(t, want, got)
+
+	boots, measured = 0, nil
+	got, err = SweepBoardR(board, benches, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if boots != 0 || len(measured) != 0 {
+		t.Errorf("fully journaled job: %d boots, measured %v; want none", boots, measured)
+	}
+	if hits := j.Hits(); hits != 2*len(pairs)-1 {
+		t.Errorf("journal answered %d cells, want %d", hits, 2*len(pairs)-1)
+	}
+	sameMeasurements(t, want, got)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

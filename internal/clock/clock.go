@@ -27,8 +27,25 @@ type Pair struct {
 // DefaultPair returns the boot/default configuration (Core-H, Mem-H).
 func DefaultPair() Pair { return Pair{arch.FreqHigh, arch.FreqHigh} }
 
+// pairNames holds the "(H-L)" spelling of every pair of valid levels,
+// indexed [Core][Mem]: String sits under every journal key and cell
+// scope, so it must not format on each call.
+var pairNames = func() (t [3][3]string) {
+	for c := range t {
+		for m := range t[c] {
+			t[c][m] = "(" + arch.FreqLevel(c).String() + "-" + arch.FreqLevel(m).String() + ")"
+		}
+	}
+	return t
+}()
+
 // String formats the pair in the paper's "(H-L)" notation.
-func (p Pair) String() string { return fmt.Sprintf("(%s-%s)", p.Core, p.Mem) }
+func (p Pair) String() string {
+	if uint(p.Core) < 3 && uint(p.Mem) < 3 {
+		return pairNames[p.Core][p.Mem]
+	}
+	return fmt.Sprintf("(%s-%s)", p.Core, p.Mem)
+}
 
 // ParsePair parses the "(H-L)" notation (parentheses optional).
 func ParsePair(s string) (Pair, error) {

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +18,31 @@ func TestPairString(t *testing.T) {
 	for p, want := range cases {
 		if got := p.String(); got != want {
 			t.Errorf("%v.String() = %q, want %q", p, got, want)
+		}
+	}
+}
+
+// TestPairStringTable pins the precomputed spelling of every pair to the
+// formatted "(%s-%s)" bytes journals were written with, and checks that
+// each spelling parses back to its pair. Out-of-range levels still
+// format instead of indexing past the table.
+func TestPairStringTable(t *testing.T) {
+	for _, core := range arch.Levels() {
+		for _, mem := range arch.Levels() {
+			p := Pair{core, mem}
+			want := fmt.Sprintf("(%s-%s)", core, mem)
+			if got := p.String(); got != want {
+				t.Errorf("%#v.String() = %q, want %q", p, got, want)
+			}
+			back, err := ParsePair(p.String())
+			if err != nil || back != p {
+				t.Errorf("ParsePair(%q) = %v, %v; want %v", p.String(), back, err, p)
+			}
+		}
+	}
+	for _, p := range []Pair{{arch.FreqLevel(3), arch.FreqHigh}, {arch.FreqLow, arch.FreqLevel(-1)}} {
+		if got, want := p.String(), fmt.Sprintf("(%s-%s)", p.Core, p.Mem); got != want {
+			t.Errorf("%#v.String() = %q, want %q", p, got, want)
 		}
 	}
 }

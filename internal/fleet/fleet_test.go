@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 	"gpuperf/internal/arch"
 	"gpuperf/internal/characterize"
 	"gpuperf/internal/clock"
+	"gpuperf/internal/obs"
 	"gpuperf/internal/validity"
 	"gpuperf/internal/workloads"
 )
@@ -315,6 +317,138 @@ func TestResumeAcrossShardCounts(t *testing.T) {
 	}
 }
 
+// TestResumeCompleteCampaignBootsNothing resumes a finished 2-shard
+// campaign under a recorder: every cell replays from the journals, no
+// device boots, and the report is byte-identical.
+func TestResumeCompleteCampaignBootsNothing(t *testing.T) {
+	benches := testBenches(t, "backprop", "streamcluster")
+	ckpt := filepath.Join(t.TempDir(), "fleet.ckpt")
+	first := fleetOpts(8, 2)
+	first.Benches = benches
+	first.Checkpoint = ckpt
+	rep1, err := Run(context.Background(), first)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rec := obs.New()
+	second := first
+	second.Obs = rec
+	rep2, err := Run(context.Background(), second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := rec.Metrics()
+	if boots, _ := reg.Total("driver_boots_total"); boots != 0 {
+		t.Errorf("resume booted %d devices, want 0", boots)
+	}
+	if hits, _ := reg.Total("characterize_journal_hits_total"); hits != rep1.Cells {
+		t.Errorf("resume replayed %d cells, want all %d", hits, rep1.Cells)
+	}
+	if !bytes.Equal(reportJSON(t, rep1), reportJSON(t, rep2)) {
+		t.Error("resumed report differs from original")
+	}
+}
+
+// TestMergeShardPrecedence pins which copy of a cell survives a merge
+// with a torn line, a within-file duplicate, a cross-file duplicate and
+// a surplus .shard3 at 2 shards — and that every rewritten shard file
+// re-reads without a warning.
+func TestMergeShardPrecedence(t *testing.T) {
+	opts := fleetOpts(4, 2)
+	opts.BaseBoards = []string{"GTX 680"}
+	opts.CodeVersion = "test"
+	opts.Checkpoint = filepath.Join(t.TempDir(), "fleet.ckpt")
+	fl, err := New(opts.Seed, opts.BaseBoards, opts.Size, opts.Jitter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := characterize.JournalConfig{Cohort: opts.Cohort()}
+	hh := clock.DefaultPair()
+	// cell tags a copy by its TimePerIter so the survivor is identifiable.
+	cell := func(tag float64) characterize.PairResult {
+		r := characterize.PairResult{Pair: hh, TimePerIter: tag, AvgWatts: 1, EnergyPerIter: 1, Confidence: 1}
+		r.Verdict = r.Classify()
+		return r
+	}
+	type rec struct {
+		dev int
+		tag float64
+	}
+	// Devices 0 and 2 belong to shard 0, devices 1 and 3 to shard 1.
+	files := map[int][]rec{
+		0: {{0, 1}, {0, 2}, {1, 20}}, // within-file duplicate: the last line (2) wins
+		1: {{0, 3}, {2, 10}},         // device 0: shard 0's own file wins over this copy
+		3: {{2, 11}, {1, 21}, {3, 30}},
+	}
+	for idx, recs := range files {
+		j, err := characterize.OpenJournalCohort(ShardPath(opts.Checkpoint, idx), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := j.Record(fl.DeviceName(r.dev), "backprop", 0, cell(r.tag)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	torn, err := os.OpenFile(ShardPath(opts.Checkpoint, 1), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := torn.WriteString(`{"kind":"cell","boa`); err != nil {
+		t.Fatal(err)
+	}
+	if err := torn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var warnings []string
+	opts.Warn = func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }
+	journals, err := openShardJournals(&opts, fl, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range journals {
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "skipping corrupt line") {
+		t.Errorf("merge warnings = %q, want exactly the torn line", warnings)
+	}
+	want := map[int]float64{
+		0: 2,  // own file, last line
+		1: 20, // shard 0 beats shard 3
+		2: 10, // shard 1 beats shard 3
+		3: 30, // only in the surplus file
+	}
+	for dev, tag := range want {
+		got, ok := journals[dev%2].Lookup(fl.DeviceName(dev), "backprop", 0, hh)
+		if !ok || got.TimePerIter != tag {
+			t.Errorf("device %d: survivor tag %v (ok=%v), want %v", dev, got.TimePerIter, ok, tag)
+		}
+	}
+	if _, err := os.Stat(ShardPath(opts.Checkpoint, 3) + ".merged"); err != nil {
+		t.Errorf("surplus shard file not absorbed: %v", err)
+	}
+	for s, j := range journals {
+		cfg.Warn = func(format string, args ...any) {
+			t.Errorf("rewritten shard %d: "+format, append([]any{s}, args...)...)
+		}
+		cells, err := characterize.ReadJournalCells(ShardPath(opts.Checkpoint, s), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cells) != j.Len() {
+			t.Errorf("rewritten shard %d re-reads %d cells, want %d", s, len(cells), j.Len())
+		}
+	}
+}
+
 func TestMergeShardJournalsRobustness(t *testing.T) {
 	benches := testBenches(t, "backprop")
 	dir := t.TempDir()
@@ -387,26 +521,42 @@ func TestMergeShardJournalsForeignCohort(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := mergeShardJournals(ckpt, 1, cohortB, t.Logf); err == nil {
-		t.Fatal("merging a foreign-cohort shard journal did not fail")
-	}
-	pool, err := mergeShardJournals(ckpt, 1, cohortA, t.Logf)
+	before, err := os.ReadFile(ShardPath(ckpt, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pool.cells) != 1 {
-		t.Fatalf("pooled %d cells, want 1", len(pool.cells))
+	if _, err := mergeShardJournals(ckpt, 1, 1, cohortB, noOwner, t.Logf); err == nil {
+		t.Fatal("merging a foreign-cohort shard journal did not fail")
+	}
+	if after, err := os.ReadFile(ShardPath(ckpt, 0)); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("failed merge touched the shard journal (err=%v)", err)
+	}
+	merged, err := mergeShardJournals(ckpt, 1, 1, cohortA, noOwner, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := merged[0].Len(); n != 1 {
+		t.Fatalf("merged %d cells, want 1", n)
 	}
 }
 
+// noOwner places every board outside the fleet, so each cell stays in
+// the file that holds it.
+func noOwner(string) int { return -1 }
+
 // FuzzMergeShardJournals feeds arbitrary bytes as shard journal files:
-// the merge must never panic and a corrupt shard must quarantine, not
-// poison the pool.
+// the merge must never panic, a corrupt shard must quarantine rather
+// than poison the merge, and every shard journal it writes must re-read
+// without a single salvage warning, holding exactly the merged cells.
 func FuzzMergeShardJournals(f *testing.F) {
 	f.Add([]byte("gpuperf-checkpoint-v2 cohort=deadbeef\n"), []byte(`{"board":"GTX 680#0000"`))
 	f.Add([]byte(""), []byte("\x00\xff garbage"))
 	f.Add([]byte("{\"board\":\"a\",\"bench\":\"b\"}\n"), []byte("gpuperf-checkpoint"))
 	cohort := validity.Cohort{Seed: 42, Boards: []string{"GTX 680"}, Profile: "fuzz", CodeVersion: "v1"}
+	fl, err := New(42, []string{"GTX 680"}, 4, DefaultJitter())
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		dir := t.TempDir()
 		ckpt := filepath.Join(dir, "fleet.ckpt")
@@ -416,19 +566,28 @@ func FuzzMergeShardJournals(f *testing.F) {
 		if err := os.WriteFile(ShardPath(ckpt, 1), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		pool, err := mergeShardJournals(ckpt, 2, cohort, func(string, ...any) {})
+		merged, err := mergeShardJournals(ckpt, 2, 2, cohort, shardOwner(fl, 2), func(string, ...any) {})
 		if err != nil {
 			// Hard errors (e.g. an accidental cohort mismatch) are legal;
 			// panics are not.
 			return
 		}
-		seen := make(map[string]bool)
-		for _, c := range pool.cells {
-			key := c.Board + "|" + c.Bench + "|" + string(rune(c.Rep)) + "|" + c.Result.Pair.String()
-			if seen[key] {
-				t.Fatalf("duplicate cell survived the merge: %s", key)
+		cfg := characterize.JournalConfig{Cohort: cohort}
+		for s, j := range merged {
+			if err := j.Create(ShardPath(ckpt, s), cfg); err != nil {
+				t.Fatal(err)
 			}
-			seen[key] = true
+			_ = j.Close()
+			cfg.Warn = func(format string, args ...any) {
+				t.Errorf("rewritten shard %d: "+format, append([]any{s}, args...)...)
+			}
+			cells, err := characterize.ReadJournalCells(ShardPath(ckpt, s), cfg)
+			if err != nil {
+				t.Fatalf("rewritten shard %d does not re-read: %v", s, err)
+			}
+			if len(cells) != j.Len() {
+				t.Fatalf("rewritten shard %d re-reads %d cells, merged %d", s, len(cells), j.Len())
+			}
 		}
 	})
 }

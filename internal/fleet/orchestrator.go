@@ -208,45 +208,29 @@ func planShards(t *Tracker, fl *Fleet, shards, nBenches int) {
 	}
 }
 
-// openShardJournals pools any existing shard journals, opens one fresh
-// journal per shard under the fleet cohort, and redistributes pooled
-// cells to their owning shards under the current layout. Returns nil
-// when the campaign runs without a checkpoint.
+// openShardJournals merges any existing shard journals (one decode per
+// file) and writes one journal per shard under the fleet cohort, each
+// holding its own file's cells plus the cells other files hold for the
+// devices it owns under the current layout. Returns nil when the
+// campaign runs without a checkpoint.
 func openShardJournals(opts *Options, fl *Fleet, shards int) ([]*characterize.Journal, error) {
 	if opts.Checkpoint == "" {
 		return nil, nil
 	}
 	cohort := opts.Cohort()
-	pool, err := mergeShardJournals(opts.Checkpoint, shards, cohort, opts.warn)
+	journals, err := mergeShardJournals(opts.Checkpoint, shards, opts.Workers, cohort, shardOwner(fl, shards), opts.warn)
 	if err != nil {
 		return nil, err
 	}
-	journals := make([]*characterize.Journal, shards)
-	for s := range journals {
-		j, err := characterize.OpenJournalCohort(ShardPath(opts.Checkpoint, s),
-			characterize.JournalConfig{Cohort: cohort, Warn: opts.Warn})
+	errs := make([]error, shards)
+	cfg := characterize.JournalConfig{Cohort: cohort, Warn: opts.Warn}
+	forEachBounded(shards, opts.Workers, func(s int) {
+		errs[s] = journals[s].Create(ShardPath(opts.Checkpoint, s), cfg)
+	})
+	for _, err := range errs {
 		if err != nil {
-			for _, open := range journals[:s] {
-				if open != nil {
-					_ = open.Close()
-				}
-			}
-			return nil, err
-		}
-		journals[s] = j
-	}
-	for _, c := range pool.cells {
-		idx, ok := DeviceIndex(c.Board)
-		if !ok || idx >= fl.size || fl.DeviceName(idx) != c.Board {
-			continue // orphan cell from an older fleet geometry
-		}
-		j := journals[idx%shards]
-		if j.Contains(c.Board, c.Bench, c.Rep, c.Result.Pair) {
-			continue
-		}
-		if err := j.Record(c.Board, c.Bench, c.Rep, c.Result); err != nil {
-			for _, open := range journals {
-				_ = open.Close()
+			for _, j := range journals {
+				_ = j.Close()
 			}
 			return nil, err
 		}
