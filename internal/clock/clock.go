@@ -98,14 +98,37 @@ func ValidPairs(s *arch.Spec) []Pair {
 
 // State is the programmed DVFS state of one device. The zero value is not
 // usable; construct with NewState.
+//
+// The domain voltages and the voltage-derived scales are computed once
+// per programmed pair, not on every power query. The spec must therefore
+// not change while the state is in use.
 type State struct {
 	spec *arch.Spec
 	pair Pair
+
+	coreVolt, memVolt     float64
+	coreEnergy, memEnergy float64 // (V/VH)²
+	coreLeakSc, memLeakSc float64 // (V/VH)³
 }
 
 // NewState returns a state for the given board set to the default (H-H) pair.
 func NewState(spec *arch.Spec) *State {
-	return &State{spec: spec, pair: DefaultPair()}
+	st := &State{spec: spec}
+	st.program(DefaultPair())
+	return st
+}
+
+// program records p and derives the pair's voltages and voltage scales.
+func (st *State) program(p Pair) {
+	st.pair = p
+	st.coreVolt = st.spec.CoreVoltage(p.Core)
+	st.memVolt = st.spec.MemVoltage(p.Mem)
+	r := st.coreVolt / st.spec.CoreVoltHigh
+	st.coreEnergy = r * r
+	st.coreLeakSc = math.Pow(r, 3)
+	r = st.memVolt / st.spec.MemVoltHigh
+	st.memEnergy = r * r
+	st.memLeakSc = math.Pow(r, 3)
 }
 
 // Spec returns the board this state belongs to.
@@ -120,7 +143,7 @@ func (st *State) SetPair(p Pair) error {
 	if !st.spec.PairValid(p.Core, p.Mem) {
 		return fmt.Errorf("clock: %s does not expose pair %s", st.spec.Name, p)
 	}
-	st.pair = p
+	st.program(p)
 	return nil
 }
 
@@ -131,10 +154,10 @@ func (st *State) CoreHz() float64 { return st.spec.CoreFreqMHz(st.pair.Core) * 1
 func (st *State) MemHz() float64 { return st.spec.MemFreqMHz(st.pair.Mem) * 1e6 }
 
 // CoreVolt returns the core-domain voltage implied by the programmed pair.
-func (st *State) CoreVolt() float64 { return st.spec.CoreVoltage(st.pair.Core) }
+func (st *State) CoreVolt() float64 { return st.coreVolt }
 
 // MemVolt returns the memory-domain voltage implied by the programmed pair.
-func (st *State) MemVolt() float64 { return st.spec.MemVoltage(st.pair.Mem) }
+func (st *State) MemVolt() float64 { return st.memVolt }
 
 // MemBandwidthBytesPerSec returns the peak DRAM bandwidth at the programmed
 // memory frequency, in bytes per second.
@@ -161,27 +184,17 @@ func (st *State) DRAMLatencySec() float64 {
 
 // CoreEnergyScale returns (Vcore/VcoreHigh)², the per-event energy scale of
 // the core domain at the programmed pair.
-func (st *State) CoreEnergyScale() float64 {
-	r := st.CoreVolt() / st.spec.CoreVoltHigh
-	return r * r
-}
+func (st *State) CoreEnergyScale() float64 { return st.coreEnergy }
 
 // MemEnergyScale returns (Vmem/VmemHigh)² for the memory domain.
-func (st *State) MemEnergyScale() float64 {
-	r := st.MemVolt() / st.spec.MemVoltHigh
-	return r * r
-}
+func (st *State) MemEnergyScale() float64 { return st.memEnergy }
 
 // CoreLeakScale returns the leakage scale of the core domain. Subthreshold
 // leakage is strongly voltage dependent; we model it as (V/VH)³.
-func (st *State) CoreLeakScale() float64 {
-	return math.Pow(st.CoreVolt()/st.spec.CoreVoltHigh, 3)
-}
+func (st *State) CoreLeakScale() float64 { return st.coreLeakSc }
 
 // MemLeakScale returns the leakage scale of the memory domain, (V/VH)³.
-func (st *State) MemLeakScale() float64 {
-	return math.Pow(st.MemVolt()/st.spec.MemVoltHigh, 3)
-}
+func (st *State) MemLeakScale() float64 { return st.memLeakSc }
 
 // CoreIdleScale returns the clock-tree/idle dynamic power scale of the core
 // domain: (f/fH)·(V/VH)².

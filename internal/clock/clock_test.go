@@ -2,6 +2,7 @@ package clock
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -235,6 +236,43 @@ func TestMemBandwidthScalesWithPair(t *testing.T) {
 	want := spec.MemFreqMHz(arch.FreqMid) / spec.MemFreqMHz(arch.FreqHigh)
 	if got := bwM / bwH; !closeTo(got, want, 1e-9) {
 		t.Errorf("bandwidth ratio M/H = %g, want %g", got, want)
+	}
+}
+
+// TestCachedScalesMatchSpec pins the per-pair cache: every voltage and
+// voltage scale equals, bit for bit, the expression evaluated from the
+// spec at the programmed pair, whatever pair was programmed before.
+func TestCachedScalesMatchSpec(t *testing.T) {
+	for _, spec := range arch.AllBoards() {
+		st := NewState(spec)
+		pairs := ValidPairs(spec)
+		for _, from := range pairs {
+			for _, p := range pairs {
+				if err := st.SetPair(from); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.SetPair(p); err != nil {
+					t.Fatal(err)
+				}
+				cv, mv := spec.CoreVoltage(p.Core), spec.MemVoltage(p.Mem)
+				rc, rm := cv/spec.CoreVoltHigh, mv/spec.MemVoltHigh
+				for _, c := range []struct {
+					name      string
+					got, want float64
+				}{
+					{"CoreVolt", st.CoreVolt(), cv},
+					{"MemVolt", st.MemVolt(), mv},
+					{"CoreEnergyScale", st.CoreEnergyScale(), rc * rc},
+					{"MemEnergyScale", st.MemEnergyScale(), rm * rm},
+					{"CoreLeakScale", st.CoreLeakScale(), math.Pow(rc, 3)},
+					{"MemLeakScale", st.MemLeakScale(), math.Pow(rm, 3)},
+				} {
+					if math.Float64bits(c.got) != math.Float64bits(c.want) {
+						t.Errorf("%s %s→%s: %s = %v, want %v", spec.Name, from, p, c.name, c.got, c.want)
+					}
+				}
+			}
+		}
 	}
 }
 

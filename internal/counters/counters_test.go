@@ -1,8 +1,10 @@
 package counters
 
 import (
+	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -205,4 +207,83 @@ func TestForGenerationPanicsOnUnknown(t *testing.T) {
 		}
 	}()
 	ForGeneration(arch.Generation(99))
+}
+
+// allGenerations lists every generation with a counter set.
+func allGenerations() []arch.Generation {
+	return []arch.Generation{arch.Tesla, arch.Fermi, arch.Kepler, arch.GCN}
+}
+
+func TestCollectBitIdenticalAcrossCalls(t *testing.T) {
+	// Multi-term counters (e.g. Kepler's l2_subp*_total_read_sector_queries)
+	// must sum their terms in one fixed order: with nil rng every call on
+	// the same vector returns the same bits.
+	rng := rand.New(rand.NewSource(7))
+	for _, g := range allGenerations() {
+		s := ForGeneration(g)
+		for trial := 0; trial < 20; trial++ {
+			var v Vector
+			for i := range v {
+				v[i] = rng.Float64() * 1e9
+			}
+			ref := s.Collect(&v, nil)
+			for call := 0; call < 100; call++ {
+				got := s.Collect(&v, nil)
+				for i := range ref {
+					if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+						t.Fatalf("%v %s: call %d = %v, first call %v",
+							g, s.Defs[i].Name, call, got[i], ref[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestCollectSumsInDeclarationOrder(t *testing.T) {
+	s := ForGeneration(arch.Kepler)
+	idx := s.Index("l2_subp0_total_read_sector_queries")
+	d := s.Defs[idx]
+	if len(d.Weights) != 3 {
+		t.Fatalf("%s has %d weights, want 3", d.Name, len(d.Weights))
+	}
+	var v Vector
+	v[ActL2Hit], v[ActL2Miss], v[ActGlobalLoadTxn] = 0.1, 0.2, 0.3e-3
+	want := 0 + d.Weights[0].W*v[d.Weights[0].Act]
+	want += d.Weights[1].W * v[d.Weights[1].Act]
+	want += d.Weights[2].W * v[d.Weights[2].Act]
+	if got := s.Collect(&v, nil)[idx]; got != want {
+		t.Errorf("%s = %v, want the left fold %v", d.Name, got, want)
+	}
+}
+
+func TestForGenerationReturnsSharedSet(t *testing.T) {
+	// Sets are built once and shared; concurrent first requests (the race
+	// detector watches this) must all see the same value.
+	for _, g := range allGenerations() {
+		var wg sync.WaitGroup
+		got := make([]*Set, 8)
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i] = ForGeneration(g)
+			}(i)
+		}
+		wg.Wait()
+		for i, s := range got {
+			if s != got[0] {
+				t.Fatalf("%v: call %d returned a different set", g, i)
+			}
+		}
+	}
+}
+
+func TestDefRejectsRepeatedActivity(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("def should panic when one activity is weighted twice")
+		}
+	}()
+	def("twice", CoreEvent, jSmall, ActALU, 1.0, ActALU, 2.0)
 }

@@ -2,6 +2,7 @@ package counters
 
 import (
 	"fmt"
+	"sync"
 
 	"gpuperf/internal/arch"
 )
@@ -71,5 +72,5 @@ func gcnDefs() []Def {
 // gcnSet is wired into ForGeneration via init to keep the NVIDIA
 // generations (the paper's scope) and the future-work extension separable.
 func init() {
-	extraGenerations[arch.GCN] = func() *Set { return newSet(arch.GCN, gcnDefs()) }
+	generations[arch.GCN] = sync.OnceValue(func() *Set { return newSet(arch.GCN, gcnDefs()) })
 }

@@ -3,6 +3,7 @@ package counters
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"gpuperf/internal/arch"
 )
@@ -31,10 +32,19 @@ func (c Class) String() string {
 // activity vector. Jitter is the relative standard deviation of the
 // multiplicative sampling noise (profiler nondeterminism).
 type Def struct {
-	Name    string
-	Class   Class
-	Weights map[Activity]float64
+	Name  string
+	Class Class
+	// Weights lists the counter's terms in declaration order. Collect sums
+	// them in this order, so a counter's value is the same bits on every
+	// call (floating-point addition is not associative).
+	Weights []Weight
 	Jitter  float64
+}
+
+// Weight is one term of a counter: W times one activity.
+type Weight struct {
+	Act Activity
+	W   float64
 }
 
 // Set is the full counter list of one architecture generation.
@@ -62,8 +72,8 @@ func (s *Set) Collect(v *Vector, rng *rand.Rand) []float64 {
 	out := make([]float64, len(s.Defs))
 	for i, d := range s.Defs {
 		var x float64
-		for act, w := range d.Weights {
-			x += w * v[act]
+		for _, w := range d.Weights {
+			x += w.W * v[w.Act]
 		}
 		if d.Jitter > 0 && rng != nil {
 			x *= 1 + d.Jitter*rng.NormFloat64()
@@ -91,9 +101,15 @@ func def(name string, class Class, jitter float64, pairs ...interface{}) Def {
 	if len(pairs)%2 != 0 {
 		panic("counters: def weights must be (Activity, float64) pairs")
 	}
-	w := make(map[Activity]float64, len(pairs)/2)
+	w := make([]Weight, 0, len(pairs)/2)
 	for i := 0; i < len(pairs); i += 2 {
-		w[pairs[i].(Activity)] = pairs[i+1].(float64)
+		act := pairs[i].(Activity)
+		for _, prev := range w {
+			if prev.Act == act {
+				panic(fmt.Sprintf("counters: %s weights %v twice", name, act))
+			}
+		}
+		w = append(w, Weight{Act: act, W: pairs[i+1].(float64)})
 	}
 	return Def{Name: name, Class: class, Weights: w, Jitter: jitter}
 }
@@ -106,25 +122,25 @@ func def(name string, class Class, jitter float64, pairs ...interface{}) Def {
 // counters carry several times the sampling error of Kepler's chip-wide
 // counting. This is one of the paper's explanations for why both models
 // grow more accurate on newer GPUs.
+//
+// Each generation's set is built once, on first request, and every call
+// returns that shared value. Sets are immutable: callers must not modify
+// a set or its definitions.
 func ForGeneration(g arch.Generation) *Set {
-	switch g {
-	case arch.Tesla:
-		return newSet(g, scaleJitter(teslaDefs(), 4.0))
-	case arch.Fermi:
-		return newSet(g, scaleJitter(fermiDefs(), 1.8))
-	case arch.Kepler:
-		return newSet(g, keplerDefs())
-	default:
-		if mk, ok := extraGenerations[g]; ok {
-			return mk()
-		}
-		panic(fmt.Sprintf("counters: unknown generation %v", g))
+	if mk, ok := generations[g]; ok {
+		return mk()
 	}
+	panic(fmt.Sprintf("counters: unknown generation %v", g))
 }
 
-// extraGenerations registers counter sets beyond the paper's three NVIDIA
-// generations (the future-work GCN set registers itself here).
-var extraGenerations = map[arch.Generation]func() *Set{}
+// generations maps each known generation to its lazily built set. It is
+// filled during package initialization (the future-work GCN set registers
+// itself from gcn.go) and only read afterwards.
+var generations = map[arch.Generation]func() *Set{
+	arch.Tesla:  sync.OnceValue(func() *Set { return newSet(arch.Tesla, scaleJitter(teslaDefs(), 4.0)) }),
+	arch.Fermi:  sync.OnceValue(func() *Set { return newSet(arch.Fermi, scaleJitter(fermiDefs(), 1.8)) }),
+	arch.Kepler: sync.OnceValue(func() *Set { return newSet(arch.Kepler, keplerDefs()) }),
+}
 
 func scaleJitter(defs []Def, k float64) []Def {
 	for i := range defs {

@@ -28,12 +28,20 @@ import (
 // instead of one per launch. Returns the number of entries newly
 // simulated; zero when launch caching is disabled on this device, in which
 // case nothing happens at all.
+//
+// A device booted from a BoardModel takes each payload's timing from the
+// model instead and only integrates power, on the same kind of scratch
+// clock; it fills its per-device map alone and never consults the shared
+// LRU.
 func (d *Device) PrecomputePairs(ks []*gpu.KernelDesc, pairs []clock.Pair) (int, error) {
 	if d.cache == nil && !d.useShared {
 		return 0, nil
 	}
 	if len(ks) == 0 || len(pairs) == 0 {
 		return 0, nil
+	}
+	if d.model != nil {
+		return d.precomputeFromModel(ks, pairs)
 	}
 	var shared *LaunchCache
 	if d.useShared {
@@ -81,17 +89,7 @@ func (d *Device) PrecomputePairs(ks []*gpu.KernelDesc, pairs []clock.Pair) (int,
 				if err := scratch.SetPair(missing[mi]); err != nil {
 					return simulated, fmt.Errorf("driver: precompute %q: %w", k.Name, err)
 				}
-				cl := &cachedLaunch{time: res.Time, acts: res.Activities}
-				for _, ph := range res.Phases {
-					// Same waveform construction as Device.launch: the
-					// phase's switching activity scales the energy events,
-					// never the profiler counters.
-					ev := ph.Events
-					ev.Scale(ph.EnergyScale)
-					w := d.pm.SystemWatts(scratch, ev, ph.Duration)
-					cl.trace = cl.trace.Append(ph.Duration, w)
-					cl.scopeJ = cl.scopeJ.Add(d.pm.ScopeWatts(scratch, ev, ph.Duration).Scale(ph.Duration))
-				}
+				cl := newLaunch(d.pm, scratch, timingOf(res))
 				found[missingIdx[mi]] = cl
 				gpu.ReleaseResult(res) // fully copied into the payload above
 				if shared != nil {
@@ -113,4 +111,31 @@ func (d *Device) PrecomputePairs(ks []*gpu.KernelDesc, pairs []clock.Pair) (int,
 		shared.putBatch(batch)
 	}
 	return simulated, nil
+}
+
+// precomputeFromModel is PrecomputePairs for a model-booted device: the
+// timing of every (kernel, pair) comes from the shared model, and only the
+// power integration runs here.
+func (d *Device) precomputeFromModel(ks []*gpu.KernelDesc, pairs []clock.Pair) (int, error) {
+	scratch := clock.NewState(d.spec)
+	filled := 0
+	for _, k := range ks {
+		kfp := k.Fingerprint()
+		for _, p := range pairs {
+			key := launchKey{pair: p, kernel: kfp, profiling: d.profiling}
+			if _, ok := d.cache[key]; ok {
+				continue
+			}
+			if err := scratch.SetPair(p); err != nil {
+				return filled, fmt.Errorf("driver: precompute %q: %w", k.Name, err)
+			}
+			cl, err := d.modelLaunch(k, kfp, scratch)
+			if err != nil {
+				return filled, fmt.Errorf("driver: precompute %q: %w", k.Name, err)
+			}
+			d.cache[key] = cl
+			filled++
+		}
+	}
+	return filled, nil
 }

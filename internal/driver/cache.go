@@ -282,7 +282,8 @@ func PushSharedLaunchCache(c *LaunchCache) (restore func()) {
 func SharedLaunchCache() *LaunchCache { return sharedCache.Load() }
 
 // DisableLaunchCache detaches this device from both its per-device cache
-// and the shared cache; every subsequent launch re-runs the simulator.
+// and the shared cache; every subsequent launch re-runs the simulator (or,
+// on a model-booted device, re-integrates the model's timing).
 // Determinism tests use this as the uncached reference.
 func (d *Device) DisableLaunchCache() {
 	d.cache = nil

@@ -60,6 +60,9 @@ type Device struct {
 	specFP    uint64
 	cache     map[launchKey]*cachedLaunch
 	useShared bool
+	// model, when set, supplies every launch's timing (see model.go); the
+	// device then fills only its per-device map and never simulates.
+	model *BoardModel
 
 	// Instrumentation (see obs.go); nil unless Observe attached a recorder.
 	obs *driverObs
@@ -121,19 +124,29 @@ func Open(img []byte) (*Device, error) {
 		}
 	}
 
+	d, err := newDevice(spec, append([]byte(nil), img...), decoded.Boot)
+	if err != nil {
+		return nil, err
+	}
+	d.initCaches()
+	return d, nil
+}
+
+// newDevice assembles a device for spec around its own VBIOS image (the
+// device takes ownership of img) at the image's boot pair. The device's
+// noise stream is seeded from the board name.
+func newDevice(spec *arch.Spec, img []byte, boot clock.Pair) (*Device, error) {
 	clk := clock.NewState(spec)
-	if err := clk.SetPair(decoded.Boot); err != nil {
+	if err := clk.SetPair(boot); err != nil {
 		return nil, fmt.Errorf("driver: boot clocks: %w", err)
 	}
-
-	own := append([]byte(nil), img...)
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(spec.Name)) // fnv: hash.Hash.Write never errors
 	seed := int64(h.Sum64())
 	src, rng := fastrng.NewRand(seed)
-	d := &Device{
+	return &Device{
 		spec:     spec,
-		img:      own,
+		img:      img,
 		pristine: append([]byte(nil), img...),
 		clk:      clk,
 		sim:      gpu.New(spec, clk),
@@ -143,9 +156,7 @@ func Open(img []byte) (*Device, error) {
 		src:      src,
 		rng:      rng,
 		baseSeed: seed,
-	}
-	d.initCaches()
-	return d, nil
+	}, nil
 }
 
 // OpenBoard builds a pristine VBIOS image for a named board and boots it.
@@ -162,37 +173,27 @@ func OpenBoard(name string) (*Device, error) {
 // a flattened voltage curve or a Fermi board with disabled caches. The spec
 // must still validate.
 func OpenSpec(spec *arch.Spec) (*Device, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("driver: %w", err)
-	}
-	decoded, err := bios.Parse(bios.Build(spec))
+	d, err := bootSpec(spec)
 	if err != nil {
-		return nil, fmt.Errorf("driver: boot failed: %w", err)
-	}
-	clk := clock.NewState(spec)
-	if err := clk.SetPair(decoded.Boot); err != nil {
-		return nil, fmt.Errorf("driver: boot clocks: %w", err)
-	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(spec.Name)) // fnv: hash.Hash.Write never errors
-	seed := int64(h.Sum64())
-	src, rng := fastrng.NewRand(seed)
-	img := bios.Build(spec)
-	d := &Device{
-		spec:     spec,
-		img:      img,
-		pristine: append([]byte(nil), img...),
-		clk:      clk,
-		sim:      gpu.New(spec, clk),
-		pm:       power.NewModel(spec),
-		set:      counters.ForGeneration(spec.Generation),
-		inst:     meter.New(),
-		src:      src,
-		rng:      rng,
-		baseSeed: seed,
+		return nil, err
 	}
 	d.initCaches()
 	return d, nil
+}
+
+// bootSpec validates spec, builds its VBIOS image, and boots a device from
+// it through the same parse every boot goes through. The device has no
+// launch cache attached.
+func bootSpec(spec *arch.Spec) (*Device, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("driver: %w", err)
+	}
+	img := bios.Build(spec)
+	decoded, err := bios.Parse(img)
+	if err != nil {
+		return nil, fmt.Errorf("driver: boot failed: %w", err)
+	}
+	return newDevice(spec, img, decoded.Boot)
 }
 
 // Spec returns the booted board's description.
@@ -310,9 +311,10 @@ func (d *Device) MicroSim(k *gpu.KernelDesc) (*gpu.MicroResult, error) {
 }
 
 // launch returns the noiseless outcome of running k at the current
-// clocks, consulting the per-device and shared launch caches before the
-// simulator. The returned value is shared and immutable; it never touches
-// d.rng, so the device's noise stream is identical on hits and misses.
+// clocks, consulting the per-device map, then the board model or the
+// shared launch cache, before the simulator. The returned value is shared
+// and immutable; it never touches d.rng, so the device's noise stream is
+// identical on hits and misses.
 func (d *Device) launch(k *gpu.KernelDesc) (*cachedLaunch, error) {
 	key := launchKey{spec: d.specFP, pair: d.clk.Pair(), kernel: k.Fingerprint(), profiling: d.profiling}
 	o := d.obs
@@ -324,6 +326,16 @@ func (d *Device) launch(k *gpu.KernelDesc) (*cachedLaunch, error) {
 			o.hitsDevice.Inc()
 			o.track.Instant("launch cache hit",
 				obs.Arg{Key: "kernel", Value: k.Name}, obs.Arg{Key: "cache", Value: "device"})
+		}
+		return cl, nil
+	}
+	if d.model != nil {
+		cl, err := d.modelLaunch(k, key.kernel, d.clk)
+		if err != nil {
+			return nil, err
+		}
+		if d.cache != nil {
+			d.cache[key] = cl
 		}
 		return cl, nil
 	}
@@ -351,24 +363,14 @@ func (d *Device) launch(k *gpu.KernelDesc) (*cachedLaunch, error) {
 	if o != nil && (d.cache != nil || d.useShared) {
 		o.misses.Inc()
 	}
-	cl := &cachedLaunch{time: res.Time, acts: res.Activities}
-	for _, ph := range res.Phases {
-		// Apply the phase's data-dependent switching activity to the
-		// energy accounting; the profiler's counters never see it.
-		ev := ph.Events
-		ev.Scale(ph.EnergyScale)
-		w := d.pm.SystemWatts(d.clk, ev, ph.Duration)
-		cl.trace = cl.trace.Append(ph.Duration, w)
-		cl.scopeJ = cl.scopeJ.Add(d.pm.ScopeWatts(d.clk, ev, ph.Duration).Scale(ph.Duration))
-	}
+	cl := newLaunch(d.pm, d.clk, timingOf(res))
+	gpu.ReleaseResult(res) // copied into the payload above
 	if d.cache != nil {
 		d.cache[key] = cl
 	}
 	if shared != nil {
 		shared.put(key, cl)
 	}
-	// The result was copied by value into the cached payload above.
-	gpu.ReleaseResult(res)
 	return cl, nil
 }
 

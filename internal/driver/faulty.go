@@ -42,6 +42,8 @@ func OpenBoardWithFaults(name string, in *fault.Injector) (*Device, error) {
 }
 
 // OpenSpecWithFaults is OpenSpec behind the same boot-failure fault point.
+// Fleet devices boot through BoardModel.OpenWithFaults instead, which keeps
+// this fault point and shares the base board's timing.
 func OpenSpecWithFaults(spec *arch.Spec, in *fault.Injector) (*Device, error) {
 	if err := in.Fail(fault.BootFail, spec.Name); err != nil {
 		return nil, fmt.Errorf("driver: boot failed: %w", err)

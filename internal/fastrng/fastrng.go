@@ -13,9 +13,12 @@
 //   - Source is reseeded in place — zero allocations per reseed.
 //   - Seeding evaluates the same Lehmer chain in closed form,
 //     x_j = 48271^j · x_0 mod 2³¹−1, from a precomputed table of
-//     multiplier powers. The modular products are independent, so the
-//     chain's ~1800 data-dependent steps become ~1800 pipelinable
-//     multiply-reduce pairs.
+//     multiplier powers. The modular products are independent, so each
+//     state word can be computed on its own.
+//   - Seeding is lazy: Seed only stores the normalized seed and clears a
+//     607-bit "ready" bitmap, and each state word is computed the
+//     first time a draw reads it. A measurement cell draws a few dozen
+//     words, so it pays for a few dozen words rather than all 607.
 //   - The generator state update (Uint64/Int63) replicates math/rand's
 //     rngSource field for field, and the additive constants folded into
 //     the seeded state (math/rand's unexported rngCooked table) are
@@ -127,7 +130,12 @@ func seedChain(x0 uint64, j int) uint64 {
 // (New does). Not goroutine-safe, exactly like rand.NewSource.
 type Source struct {
 	tap, feed int
-	vec       [rngLen]int64
+	x0        uint64 // normalized seed the state words derive from
+	// ready has bit i set once vec[i] holds a real state word: either its
+	// seeded value, computed on first read, or a value the recurrence
+	// wrote since.
+	ready [(rngLen + 63) / 64]uint64
+	vec   [rngLen]int64
 }
 
 var (
@@ -151,17 +159,26 @@ func NewRand(seed int64) (*Source, *rand.Rand) {
 }
 
 // Seed resets the source to the exact state rand.NewSource(seed) starts
-// in, reusing the receiver's storage. The stdlib walks the Lehmer chain
-// sequentially (20 warm-up steps, then three per state word); the closed
-// form evaluates the same iterates independently.
+// in, reusing the receiver's storage. No state word is computed here:
+// word reads each one on first use.
 func (s *Source) Seed(seed int64) {
 	s.tap, s.feed = 0, rngLen-rngTap
-	x := seedWord(seed)
-	for i := 0; i < rngLen; i++ {
+	s.x0 = seedWord(seed)
+	s.ready = [len(s.ready)]uint64{}
+}
+
+// word returns state word i, computing its seeded value on first use.
+// The stdlib walks the Lehmer chain sequentially (20 warm-up steps, then
+// three per state word); the closed form evaluates the same iterates for
+// word i alone.
+func (s *Source) word(i int) int64 {
+	if s.ready[i>>6]&(1<<(i&63)) == 0 {
 		j := 21 + 3*i
-		u := seedChain(x, j)<<40 ^ seedChain(x, j+1)<<20 ^ seedChain(x, j+2) ^ cooked[i]
+		u := seedChain(s.x0, j)<<40 ^ seedChain(s.x0, j+1)<<20 ^ seedChain(s.x0, j+2) ^ cooked[i]
 		s.vec[i] = int64(u)
+		s.ready[i>>6] |= 1 << (i & 63)
 	}
+	return s.vec[i]
 }
 
 // Uint64 advances the lagged-Fibonacci recurrence one step, replicating
@@ -175,7 +192,7 @@ func (s *Source) Uint64() uint64 {
 	if s.feed < 0 {
 		s.feed += rngLen
 	}
-	x := s.vec[s.feed] + s.vec[s.tap]
+	x := s.word(s.feed) + s.word(s.tap)
 	s.vec[s.feed] = x
 	return uint64(x)
 }

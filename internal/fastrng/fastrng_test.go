@@ -90,6 +90,42 @@ func TestManySequentialSeeds(t *testing.T) {
 	}
 }
 
+// TestLazySeedingAtWordBoundaries checks the stream across the draw
+// counts where lazy seeding changes regime: the first draw, the last draw
+// whose tap word is still unread (272), the first that taps a word the
+// recurrence wrote (273), the end of the first pass over the state
+// (606, 607, 608) and well past it. At each count the source is reseeded
+// mid-stream and must match a fresh reference again.
+func TestLazySeedingAtWordBoundaries(t *testing.T) {
+	for _, n := range []int{0, 1, 272, 273, 606, 607, 608, 5000} {
+		for _, seed := range testSeeds() {
+			src := New(seed)
+			ref := rand.NewSource(seed).(rand.Source64)
+			for i := 0; i < n+1000; i++ {
+				if g, w := src.Uint64(), ref.Uint64(); g != w {
+					t.Fatalf("seed %d draw %d: %#x, want %#x", seed, i, g, w)
+				}
+			}
+			src.Seed(seed)
+			ref = rand.NewSource(seed).(rand.Source64)
+			for i := 0; i < n; i++ {
+				if g, w := src.Uint64(), ref.Uint64(); g != w {
+					t.Fatalf("seed %d draw %d: %#x, want %#x", seed, i, g, w)
+				}
+			}
+			next := seed ^ 0x5eed
+			src.Seed(next)
+			ref = rand.NewSource(next).(rand.Source64)
+			for i := 0; i < 1000; i++ {
+				if g, w := src.Uint64(), ref.Uint64(); g != w {
+					t.Fatalf("seed %d reseeded to %d after %d draws: draw %d = %#x, want %#x",
+						seed, next, n, i, g, w)
+				}
+			}
+		}
+	}
+}
+
 // TestSeedAllocates pins the zero-allocation property of in-place
 // reseeding — the profiled win over rand.New(rand.NewSource(seed)).
 func TestSeedAllocates(t *testing.T) {
@@ -103,6 +139,18 @@ func BenchmarkSeedInPlace(b *testing.B) {
 	src := New(1)
 	for i := 0; i < b.N; i++ {
 		src.Seed(int64(i))
+	}
+}
+
+// BenchmarkSeedAndDraw is a measurement cell's pattern: a reseed then a
+// few dozen draws. With lazy seeding its cost follows the draws.
+func BenchmarkSeedAndDraw(b *testing.B) {
+	src := New(1)
+	for i := 0; i < b.N; i++ {
+		src.Seed(int64(i))
+		for j := 0; j < 40; j++ {
+			src.Uint64()
+		}
 	}
 }
 

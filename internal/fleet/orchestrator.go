@@ -149,6 +149,16 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	}
 	planShards(tracker, fl, shards, len(opts.Benches))
 
+	// One shared timing model per base board: jitter touches power fields
+	// only, so every device of a board launches with the same timing and
+	// boots do the power half alone.
+	models := make([]*driver.BoardModel, len(fl.bases))
+	for i, base := range fl.bases {
+		if models[i], err = driver.NewBoardModel(base); err != nil {
+			return nil, err
+		}
+	}
+
 	journals, err := openShardJournals(&opts, fl, shards)
 	if err != nil {
 		return nil, err
@@ -176,7 +186,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		wg.Add(1)
 		go func(s int, j *characterize.Journal) {
 			defer wg.Done()
-			aggs[s], errs[s] = runShard(ctx, s, shards, shardWorkers, fl, j, res, tracker, &opts)
+			aggs[s], errs[s] = runShard(ctx, s, shards, shardWorkers, fl, models, j, res, tracker, &opts)
 		}(s, j)
 	}
 	wg.Wait()
@@ -284,8 +294,9 @@ func (s *shardSink) ConsumeBench(b *characterize.BenchResult) {
 
 // runShard sweeps every device the shard owns (ascending index, batched
 // so at most one batch of generated specs is live) and folds the stream
-// into the shard's Aggregate.
-func runShard(ctx context.Context, shard, shards, workers int, fl *Fleet, journal *characterize.Journal, res *fault.Resilience, tracker *Tracker, opts *Options) (*Aggregate, error) {
+// into the shard's Aggregate. Devices boot from their base board's model
+// (models is aligned with fl.bases).
+func runShard(ctx context.Context, shard, shards, workers int, fl *Fleet, models []*driver.BoardModel, journal *characterize.Journal, res *fault.Resilience, tracker *Tracker, opts *Options) (*Aggregate, error) {
 	agg := NewAggregate()
 	sink := &shardSink{
 		agg: agg, tr: tracker, shard: shard,
@@ -334,7 +345,8 @@ func runShard(ctx context.Context, shard, shards, workers int, fl *Fleet, journa
 				if !ok {
 					return nil, fmt.Errorf("fleet: unknown device %q", name)
 				}
-				dev, err := driver.OpenSpecWithFaults(d.Spec, in) //gpulint:ignore faultsafety -- boot seam: the error returns into characterize's resilient loop, which classifies with fault.PointOf and retries
+				model := models[d.Index%len(models)]
+				dev, err := model.OpenWithFaults(d.Spec, in) //gpulint:ignore faultsafety -- boot seam: the error returns into characterize's resilient loop, which classifies with fault.PointOf and retries
 				if err != nil {
 					return nil, err
 				}

@@ -20,7 +20,8 @@ import (
 //
 //  2. Unclassified fault-point callers: the fault-aware driver entry
 //     points (RunMeteredCtx, LaunchCtx, OpenBoardWithFaults,
-//     OpenSpecWithFaults) report injected faults as transient errors that
+//     OpenSpecWithFaults, and BoardModel.OpenWithFaults, the fleet's boot
+//     seam) report injected faults as transient errors that
 //     the caller must classify and retry. A file that calls them without
 //     any visible classification (fault.PointOf / IsTransient / IsFault)
 //     or retry machinery treats every injected fault as a hard error,
@@ -39,6 +40,7 @@ var faultEntryPoints = map[string]bool{
 	"LaunchCtx":           true,
 	"OpenBoardWithFaults": true,
 	"OpenSpecWithFaults":  true,
+	"OpenWithFaults":      true,
 }
 
 // classificationMarkers are the identifiers whose presence shows a file

@@ -15,6 +15,10 @@ func (d *dev) LaunchCtx(_ context.Context, name string) error { return nil }
 
 func OpenBoardWithFaults(name string) (*dev, error) { return &dev{}, nil }
 
+type boardModel struct{}
+
+func (m *boardModel) OpenWithFaults(name string) (*dev, error) { return &dev{}, nil }
+
 // discarded: the watchdog timer leaks until the deadline fires.
 func leakByBlank() context.Context {
 	ctx, _ := context.WithTimeout(context.Background(), time.Second) // want:faultsafety "discarded with _"
@@ -39,4 +43,9 @@ func measure(d *dev, ctx context.Context) error {
 
 func boot() (*dev, error) {
 	return OpenBoardWithFaults("GTX 480") // want:faultsafety "classifies"
+}
+
+// a shared board model's boot seam surfaces boot faults the same way.
+func bootFromModel(m *boardModel) (*dev, error) {
+	return m.OpenWithFaults("GTX 680#0001") // want:faultsafety "classifies"
 }
